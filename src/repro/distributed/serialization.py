@@ -34,7 +34,6 @@ from repro.sparse import (
     DCSRMatrix,
     DHBMatrix,
 )
-from repro.sparse.dhb import DHBRow
 
 __all__ = [
     "BlockCodecError",
@@ -86,37 +85,10 @@ def encode_block(block: Any) -> dict[str, Any]:
         out["values"] = np.ascontiguousarray(block.values)
         return out
     if isinstance(block, DHBMatrix):
-        return _encode_dhb(block)
+        out = _base("dhb", block.shape, block.semiring)
+        out.update(block.row_state())
+        return out
     raise BlockCodecError(f"cannot encode block of type {type(block).__name__}")
-
-
-def _encode_dhb(block: DHBMatrix) -> dict[str, Any]:
-    row_ids: list[int] = []
-    sizes: list[int] = []
-    capacities: list[int] = []
-    grow_counts: list[int] = []
-    col_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    for row_id, row in block._rows.items():
-        row_ids.append(int(row_id))
-        sizes.append(int(row.size))
-        capacities.append(row.capacity())
-        grow_counts.append(int(row.grow_count))
-        col_chunks.append(row.cols[: row.size])
-        val_chunks.append(row.vals[: row.size])
-    dtype = block.semiring.dtype
-    out = _base("dhb", block.shape, block.semiring)
-    out["row_ids"] = np.asarray(row_ids, dtype=np.int64)
-    out["sizes"] = np.asarray(sizes, dtype=np.int64)
-    out["capacities"] = np.asarray(capacities, dtype=np.int64)
-    out["grow_counts"] = np.asarray(grow_counts, dtype=np.int64)
-    out["cols"] = (
-        np.concatenate(col_chunks) if col_chunks else np.empty(0, dtype=np.int64)
-    )
-    out["values"] = (
-        np.concatenate(val_chunks) if val_chunks else np.empty(0, dtype=dtype)
-    )
-    return out
 
 
 def decode_block(data: dict[str, Any]) -> Any:
@@ -145,36 +117,8 @@ def decode_block(data: dict[str, Any]) -> Any:
             semiring=semiring,
         )
     if layout == "dhb":
-        return _decode_dhb(data, shape, semiring)
+        return DHBMatrix.from_row_state(shape, semiring, data)
     raise BlockCodecError(f"unknown block layout {layout!r}")
-
-
-def _decode_dhb(
-    data: dict[str, Any], shape: tuple[int, int], semiring: Semiring
-) -> DHBMatrix:
-    out = DHBMatrix(shape, semiring=semiring)
-    cols = np.asarray(data["cols"], dtype=np.int64)
-    values = semiring.coerce(data["values"])
-    offset = 0
-    nnz = 0
-    for row_id, size, capacity, grow_count in zip(
-        np.asarray(data["row_ids"], dtype=np.int64),
-        np.asarray(data["sizes"], dtype=np.int64),
-        np.asarray(data["capacities"], dtype=np.int64),
-        np.asarray(data["grow_counts"], dtype=np.int64),
-    ):
-        size = int(size)
-        row = DHBRow(semiring.dtype, capacity=int(capacity))
-        row.cols[:size] = cols[offset : offset + size]
-        row.vals[:size] = values[offset : offset + size]
-        row.size = size
-        row.index = None
-        row.grow_count = int(grow_count)
-        out._rows[int(row_id)] = row
-        offset += size
-        nnz += size
-    out._nnz = nnz
-    return out
 
 
 def encode_bloom(matrix: BloomFilterMatrix) -> dict[str, Any]:

@@ -40,6 +40,35 @@ __all__ = ["UpdateBatch", "build_update_matrix", "partition_tuples_round_robin"]
 TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _checked_tuples(rows, cols, values) -> TupleArrays:
+    """``int64`` coordinates of a tuple batch, validated at the boundary.
+
+    A plain ``int64`` cast would silently truncate non-integral float
+    coordinates (``1.7`` becomes ``1``) and accept ``NaN`` values; both
+    raise :class:`ValueError` naming the first offending tuple instead.
+    """
+    rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+    if not (rows.size == cols.size == values.size):
+        raise ValueError("rows, cols and values must have identical lengths")
+    fractional = np.zeros(rows.size, dtype=bool)
+    for coords in (rows, cols):
+        if coords.dtype.kind == "f":
+            fractional |= ~np.isfinite(coords) | (coords != np.trunc(coords))
+    checks = [(fractional, "a non-integral coordinate")]
+    if values.dtype.kind in "fc":
+        checks.append((np.isnan(values), "a NaN value"))
+    for mask, what in checks:
+        if mask.any():
+            k = int(np.argmax(mask))
+            tup = (rows[k].item(), cols[k].item(), values[k].item())
+            raise ValueError(f"update tuple {tup} at position {k} has {what}")
+    return (
+        np.ascontiguousarray(rows, dtype=np.int64),
+        np.ascontiguousarray(cols, dtype=np.int64),
+        values,
+    )
+
+
 def partition_tuples_round_robin(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -61,11 +90,7 @@ def partition_tuples_round_robin(
     geometry, so replays stay reproducible without callers having to pick
     a seed.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values)
-    if not (rows.size == cols.size == values.size):
-        raise ValueError("rows, cols and values must have identical lengths")
+    rows, cols, values = _checked_tuples(rows, cols, values)
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
     if seed is None:
@@ -98,11 +123,8 @@ class UpdateBatch:
             raise ValueError(f"unknown update kind {self.kind!r}")
         clean: dict[int, TupleArrays] = {}
         for rank, (rows, cols, vals) in self.tuples_per_rank.items():
-            rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
-            cols = np.ascontiguousarray(np.asarray(cols, dtype=np.int64))
+            rows, cols, vals = _checked_tuples(rows, cols, vals)
             vals = self.semiring.coerce(vals)
-            if not (rows.size == cols.size == vals.size):
-                raise ValueError("tuple arrays must have identical lengths")
             n, m = self.shape
             if rows.size and (
                 rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m

@@ -13,12 +13,20 @@ arrays (the adjacency array) plus a Python dict as the hash index.
 :class:`DHBMatrix` owns one row object per non-empty row and implements the
 batch update operations of Section IV-A: semiring ``ADD``, ``MERGE``
 (overwrite) and ``MASK`` (delete).
+
+Conversion views.  :meth:`DHBMatrix.to_coo`, :meth:`~DHBMatrix.to_csr`,
+:meth:`~DHBMatrix.to_dcsr` and :meth:`~DHBMatrix.to_scipy` are built once
+and then served from a per-matrix cache until the next mutation, so a
+block that stays unchanged (the static ``B'`` of Algorithm 1) is converted
+once, not once per multiplication.  Every mutating method clears the
+cache; the cached arrays are read-only, so a caller that writes into a
+view raises instead of corrupting it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -214,6 +222,16 @@ class DHBMatrix:
         self.semiring = semiring
         self._rows: dict[int, DHBRow] = {}
         self._nnz = 0
+        #: conversion views by kind (``coo``/``csr``/``dcsr``/``scipy``),
+        #: built on first request and cleared by every mutation
+        self._views: dict[str, object] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Blocks travel pickled (repartitioning, loopback worlds); the
+        # views are derived data, rebuilt read-only on the receiving side.
+        state = self.__dict__.copy()
+        state["_views"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # constructors
@@ -240,6 +258,65 @@ class DHBMatrix:
     def empty(cls, shape: tuple[int, int], semiring: Semiring = PLUS_TIMES) -> "DHBMatrix":
         """An empty matrix of the given shape."""
         return cls(shape, semiring)
+
+    @classmethod
+    def from_row_state(
+        cls, shape: tuple[int, int], semiring: Semiring, state: Mapping[str, Any]
+    ) -> "DHBMatrix":
+        """Rebuild a matrix from the ``state`` mapping of :meth:`row_state`.
+
+        Rows are created in ``row_ids`` order with the given capacities and
+        grow counts; row ``r`` takes the next ``sizes[r]`` entries of
+        ``cols`` / ``values`` in adjacency order.  Hash indexes are built
+        lazily, as after a bulk load.
+        """
+        out = cls(shape, semiring)
+        cols = np.asarray(state["cols"], dtype=np.int64)
+        values = semiring.coerce(state["values"])
+        offset = 0
+        for row_id, size, capacity, grow_count in zip(
+            *(
+                np.asarray(state[key], dtype=np.int64).tolist()
+                for key in ("row_ids", "sizes", "capacities", "grow_counts")
+            )
+        ):
+            row = DHBRow(semiring.dtype, capacity=capacity)
+            row.cols[:size] = cols[offset : offset + size]
+            row.vals[:size] = values[offset : offset + size]
+            row.size = size
+            row.index = None
+            row.grow_count = grow_count
+            out._rows[row_id] = row
+            offset += size
+        out._nnz = offset
+        return out
+
+    def row_state(self) -> dict[str, np.ndarray]:
+        """The full row state, in row-creation and adjacency order.
+
+        Returns ``row_ids``, ``sizes``, ``capacities``, ``grow_counts``
+        and the concatenated live ``cols`` / ``values`` — exactly what
+        :meth:`from_row_state` needs to rebuild an indistinguishable
+        matrix (same adjacency order, capacities and grow counts).
+        """
+        rows = list(self._rows.values())
+        n_rows = len(rows)
+        return {
+            "row_ids": np.fromiter(self._rows, dtype=np.int64, count=n_rows),
+            "sizes": np.fromiter((r.size for r in rows), dtype=np.int64, count=n_rows),
+            "capacities": np.fromiter(
+                (r.capacity() for r in rows), dtype=np.int64, count=n_rows
+            ),
+            "grow_counts": np.fromiter(
+                (r.grow_count for r in rows), dtype=np.int64, count=n_rows
+            ),
+            "cols": np.concatenate(
+                [r.cols[: r.size] for r in rows] or [np.empty(0, dtype=np.int64)]
+            ),
+            "values": np.concatenate(
+                [r.vals[: r.size] for r in rows] or [self.semiring.zeros(0)]
+            ),
+        }
 
     # ------------------------------------------------------------------
     # properties
@@ -291,6 +368,7 @@ class DHBMatrix:
     def insert(self, i: int, j: int, value, combine=None) -> bool:
         """Insert or update a single entry; returns ``True`` if new."""
         self._check_bounds(i, j)
+        self._views.clear()
         row = self._rows.get(int(i))
         if row is None:
             row = DHBRow(self.semiring.dtype)
@@ -308,6 +386,7 @@ class DHBMatrix:
             return False
         deleted = row.delete(j)
         if deleted:
+            self._views.clear()
             self._nnz -= 1
             if len(row) == 0:
                 del self._rows[int(i)]
@@ -326,6 +405,7 @@ class DHBMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return 0
+        self._views.clear()
         unique, counts = np.unique(rows, return_counts=True)
         grows = 0
         for i, cnt in zip(unique, counts):
@@ -389,6 +469,7 @@ class DHBMatrix:
         n, m = self.shape
         if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m:
             raise IndexError(f"batch entry outside matrix of shape {self.shape}")
+        self._views.clear()
         with perf_phase("dhb_insert"):
             perf_count("dhb.insert.entries", rows.size)
             created = self._insert_batch_dispatch(
@@ -701,30 +782,48 @@ class DHBMatrix:
             )
         return row.as_arrays()
 
+    def _view(self, kind: str, build):
+        """The cached ``kind`` view, built (and frozen) on first request."""
+        view = self._views.get(kind)
+        if view is not None:
+            perf_count("dhb.view_hits")
+            return view
+        perf_count("dhb.view_builds")
+        view = build()
+        for name in _VIEW_ARRAYS[kind]:
+            getattr(view, name).setflags(write=False)
+        self._views[kind] = view
+        return view
+
     def to_coo(self) -> COOMatrix:
-        """Sorted COO copy of the matrix."""
-        if self._nnz == 0:
-            return COOMatrix.empty(self.shape, self.semiring)
-        pieces_r, pieces_c, pieces_v = [], [], []
-        for i, cols, vals in self.iter_rows():
-            pieces_r.append(np.full(cols.size, i, dtype=np.int64))
-            pieces_c.append(cols.copy())
-            pieces_v.append(vals.copy())
+        """Sorted COO view of the matrix (cached, read-only arrays)."""
+        return self._view("coo", self._build_coo)
+
+    def _build_coo(self) -> COOMatrix:
+        state = self.row_state()
         return COOMatrix(
             shape=self.shape,
-            rows=np.concatenate(pieces_r),
-            cols=np.concatenate(pieces_c),
-            values=np.concatenate(pieces_v),
+            rows=np.repeat(state["row_ids"], state["sizes"]),
+            cols=state["cols"],
+            values=state["values"],
             semiring=self.semiring,
         ).sort()
 
     def to_csr(self) -> CSRMatrix:
-        """CSR copy of the matrix."""
-        return CSRMatrix.from_coo(self.to_coo(), dedup=False)
+        """CSR view of the matrix (cached, read-only arrays)."""
+        return self._view(
+            "csr", lambda: CSRMatrix.from_coo(self.to_coo(), dedup=False)
+        )
 
     def to_dcsr(self) -> DCSRMatrix:
-        """Doubly-compressed (hypersparse) copy of the matrix."""
-        return DCSRMatrix.from_coo(self.to_coo(), dedup=False)
+        """Doubly-compressed (hypersparse) view (cached, read-only arrays)."""
+        return self._view(
+            "dcsr", lambda: DCSRMatrix.from_coo(self.to_coo(), dedup=False)
+        )
+
+    def to_scipy(self):
+        """``scipy.sparse`` CSR view (cached, read-only arrays)."""
+        return self._view("scipy", lambda: self.to_csr().to_scipy())
 
     def to_dense(self) -> np.ndarray:
         """Dense copy (semiring zeros at structural zeros)."""
@@ -739,6 +838,15 @@ class DHBMatrix:
             f"DHBMatrix(shape={self.shape}, nnz={self.nnz}, "
             f"semiring={self.semiring.name!r})"
         )
+
+
+#: array attributes frozen in each cached conversion view
+_VIEW_ARRAYS = {
+    "coo": ("rows", "cols", "values"),
+    "csr": ("indptr", "indices", "values"),
+    "dcsr": ("nz_rows", "indptr", "indices", "values"),
+    "scipy": ("indptr", "indices", "data"),
+}
 
 
 def _merge_into_row(row: DHBRow, cols: np.ndarray, vals: np.ndarray, combine) -> int:

@@ -76,7 +76,12 @@ def _scipy_convertible(mat) -> bool:
 
 
 def _scipy_fast_path(a, b, semiring: Semiring) -> COOMatrix:
-    """``(+, ·)`` fast path via scipy.sparse CSR multiplication."""
+    """``(+, ·)`` fast path via scipy.sparse CSR multiplication.
+
+    Operands are only read: a DHB block serves its cached, read-only scipy
+    view, and ``astype(..., copy=False)`` passes float64 operands through
+    without a per-call copy.
+    """
 
     def to_scipy(mat):
         if hasattr(mat, "to_scipy"):
@@ -85,8 +90,8 @@ def _scipy_fast_path(a, b, semiring: Semiring) -> COOMatrix:
             return mat.to_csr().to_scipy()
         raise TypeError(type(mat).__name__)
 
-    sa = to_scipy(a).astype(np.float64)
-    sb = to_scipy(b).astype(np.float64)
+    sa = to_scipy(a).astype(np.float64, copy=False)
+    sb = to_scipy(b).astype(np.float64, copy=False)
     sc = (sa @ sb).tocoo()
     return COOMatrix(
         shape=(a.shape[0], b.shape[1]),

@@ -100,6 +100,23 @@ def _assert_dhb_identical(a: DHBMatrix, b: DHBMatrix) -> None:
         assert ra.ensure_index() == rb.ensure_index()
 
 
+def _views(mat: DHBMatrix) -> tuple:
+    return mat.to_coo(), mat.to_csr(), mat.to_dcsr()
+
+
+def _assert_views_identical(got: tuple, want: tuple) -> None:
+    """Two ``(coo, csr, dcsr)`` conversion triples agree byte for byte."""
+    names = (
+        ("rows", "cols", "values"),
+        ("indptr", "indices", "values"),
+        ("nz_rows", "indptr", "indices", "values"),
+    )
+    for view_got, view_want, fields in zip(got, want, names):
+        for name in fields:
+            x, y = getattr(view_got, name), getattr(view_want, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
 # ----------------------------------------------------------------------
 # block codec round trips (property-based)
 # ----------------------------------------------------------------------
@@ -146,12 +163,16 @@ def test_dhb_codec_preserves_update_history(seed: int, n_ops: int) -> None:
             i, j = int(rng.integers(n)), int(rng.integers(n))
             if mat.insert(i, j, float(rng.random() + 0.25)):
                 live.append((i, j))
+    before = _views(mat)
     decoded = decode_block(encode_block(mat))
     _assert_dhb_identical(mat, decoded)
+    # conversions after the decode equal those taken before the encode
+    _assert_views_identical(_views(decoded), before)
     # and the decoded block keeps behaving identically under further updates
     i, j = int(rng.integers(n)), int(rng.integers(n))
     assert mat.insert(i, j, 1.5) == decoded.insert(i, j, 1.5)
     _assert_dhb_identical(mat, decoded)
+    _assert_views_identical(_views(decoded), _views(mat))
 
 
 @settings(max_examples=25, deadline=None)

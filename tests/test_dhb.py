@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.semirings import MIN_PLUS, PLUS_TIMES
-from repro.sparse import COOMatrix, DHBMatrix, DHBRow
+from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix, DHBRow
 
 from tests.conftest import random_dense
 
@@ -265,3 +265,221 @@ class TestDuplicateCombineSemantics:
                 [0, 0], [0, 0], [1.0, 2.0], lambda a, b: a - b, strategy="vectorized"
             )
         assert rec.counters.get("dhb.insert.path_combine_fallback") == 1
+
+
+# ----------------------------------------------------------------------
+# cached conversion views
+# ----------------------------------------------------------------------
+_VIEW_FIELDS = {
+    "coo": ("rows", "cols", "values"),
+    "csr": ("indptr", "indices", "values"),
+    "dcsr": ("nz_rows", "indptr", "indices", "values"),
+    "scipy": ("indptr", "indices", "data"),
+}
+
+
+def _reference_views(mat: DHBMatrix) -> dict:
+    """From-scratch conversions of ``mat`` (the per-row loop, no cache)."""
+    pieces = [
+        (np.full(cols.size, i, dtype=np.int64), cols.copy(), vals.copy())
+        for i, cols, vals in mat.iter_rows()
+    ]
+    if mat.nnz == 0:
+        coo = COOMatrix.empty(mat.shape, mat.semiring)
+    else:
+        coo = COOMatrix(
+            mat.shape,
+            *(np.concatenate(part) for part in zip(*pieces)),
+            semiring=mat.semiring,
+        ).sort()
+    csr = CSRMatrix.from_coo(coo, dedup=False)
+    return {
+        "coo": coo,
+        "csr": csr,
+        "dcsr": DCSRMatrix.from_coo(coo, dedup=False),
+        "scipy": csr.to_scipy(),
+    }
+
+
+def _cached_views(mat: DHBMatrix) -> dict:
+    return {
+        "coo": mat.to_coo(),
+        "csr": mat.to_csr(),
+        "dcsr": mat.to_dcsr(),
+        "scipy": mat.to_scipy(),
+    }
+
+
+def _assert_views_fresh(mat: DHBMatrix) -> None:
+    want = _reference_views(mat)
+    for _ in range(2):  # the second round is served from the cache
+        got = _cached_views(mat)
+        for kind, fields in _VIEW_FIELDS.items():
+            for name in fields:
+                x, y = getattr(got[kind], name), getattr(want[kind], name)
+                assert x.dtype == y.dtype, (kind, name)
+                assert x.tobytes() == y.tobytes(), (kind, name)
+
+
+def _halve_then_add(a, b):
+    return 0.5 * a + b
+
+
+_COMBINERS = {"none": None, "plus": PLUS_TIMES.plus, "custom": _halve_then_add}
+_N = 8
+_entries = st.lists(
+    st.tuples(
+        st.integers(0, _N - 1),
+        st.integers(0, _N - 1),
+        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+    ),
+    max_size=12,
+)
+_view_ops = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.integers(0, _N - 1),
+        st.integers(0, _N - 1),
+        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+        st.sampled_from(["none", "plus"]),
+    ),
+    st.tuples(st.just("delete"), st.integers(0, _N - 1), st.integers(0, _N - 1)),
+    st.tuples(
+        st.just("insert_batch"),
+        _entries,
+        st.sampled_from(["auto", "vectorized", "per_element"]),
+        st.sampled_from(sorted(_COMBINERS)),
+    ),
+    st.tuples(st.sampled_from(["add_update", "merge_update", "mask_update"]), _entries),
+    st.tuples(st.just("reserve_batch"), st.lists(st.integers(0, _N - 1), max_size=6)),
+)
+
+
+def _triplets(entries):
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries], dtype=np.float64)
+    return rows, cols, vals
+
+
+class TestConversionViews:
+    """``to_coo``/``to_csr``/``to_dcsr``/``to_scipy`` are cached until the
+    next mutation and must never be served stale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(_view_ops, max_size=25))
+    def test_property_views_match_rebuild_after_every_step(self, ops):
+        mat = DHBMatrix((_N, _N))
+        _assert_views_fresh(mat)
+        for op in ops:
+            kind = op[0]
+            if kind == "insert":
+                _, i, j, v, combine = op
+                mat.insert(i, j, v, combine=_COMBINERS[combine])
+            elif kind == "delete":
+                mat.delete(op[1], op[2])
+            elif kind == "insert_batch":
+                _, entries, strategy, combine = op
+                mat.insert_batch(
+                    *_triplets(entries), _COMBINERS[combine], strategy=strategy
+                )
+            elif kind == "reserve_batch":
+                mat.reserve_batch(np.array(op[1], dtype=np.int64))
+            else:
+                update = COOMatrix((_N, _N), *_triplets(op[1]))
+                getattr(mat, kind)(update)
+            _assert_views_fresh(mat)
+
+    def test_writing_into_a_view_raises(self):
+        mat = DHBMatrix.from_dense(random_dense(6, 6, 0.5, seed=3))
+        views = _cached_views(mat)
+        for kind, fields in _VIEW_FIELDS.items():
+            for name in fields:
+                arr = getattr(views[kind], name)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
+        _assert_views_fresh(mat)
+
+    def test_rows_never_alias_view_storage(self):
+        mat = DHBMatrix.from_dense(random_dense(10, 10, 0.4, seed=5))
+        views = _cached_views(mat)
+        frozen = [
+            getattr(views[kind], name)
+            for kind, fields in _VIEW_FIELDS.items()
+            for name in fields
+        ]
+        copies = [
+            mat,
+            mat.copy(),
+            DHBMatrix.from_coo(mat.to_coo(), combine_duplicates=False),
+            DHBMatrix.from_csr(mat.to_csr()),
+        ]
+        for m in copies:
+            for row in m._rows.values():
+                for arr in frozen:
+                    assert not np.shares_memory(row.cols, arr)
+                    assert not np.shares_memory(row.vals, arr)
+        # rows built from a view stay writable
+        i, j = int(mat.to_coo().rows[0]), int(mat.to_coo().cols[0])
+        for m in copies[1:]:
+            m.insert(i, j, 99.0)
+            assert m.get(i, j) == 99.0
+        assert mat.get(i, j) != 99.0
+        _assert_views_fresh(mat)
+
+    def test_pickled_matrix_ships_no_views(self):
+        import pickle
+
+        mat = DHBMatrix.from_dense(random_dense(6, 6, 0.5, seed=2))
+        _cached_views(mat)
+        clone = pickle.loads(pickle.dumps(mat))
+        assert clone._views == {}
+        assert not clone.to_coo().values.flags.writeable
+        _assert_views_fresh(clone)
+
+    def test_counters_separate_builds_from_hits(self):
+        from repro.perf import PerfRecorder, use_recorder
+
+        mat = DHBMatrix.from_dense(random_dense(6, 6, 0.5, seed=1))
+        rec = PerfRecorder()
+        with use_recorder(rec):
+            mat.to_csr()  # builds csr on top of a coo build
+            mat.to_csr()
+            mat.to_coo()
+            mat.insert(0, 0, 1.0)
+            mat.to_csr()
+        assert rec.counters["dhb.view_builds"] == 4
+        assert rec.counters["dhb.view_hits"] == 2
+
+    def test_static_operand_views_built_once_per_stream(self):
+        """With a static ``B`` (Algorithm 1), the ``B'`` blocks are converted
+        once, however many update batches the stream runs."""
+        from repro.perf import PerfRecorder, use_recorder
+        from repro.runtime import SimMPI
+        from repro.scenarios import Scenario, ScenarioEngine, SpGEMMStep
+
+        def view_counters(n_steps: int) -> tuple[float, float]:
+            n = 64
+            rng = np.random.default_rng(7)
+            b = (rng.integers(0, n, 400), rng.integers(0, n, 400), rng.random(400) + 0.5)
+            steps = [
+                SpGEMMStep(
+                    rng.integers(0, n, 32), rng.integers(0, n, 32), rng.random(32) + 0.5
+                )
+                for _ in range(n_steps)
+            ]
+            scenario = Scenario(name="views", shape=(n, n), steps=steps, b_tuples=b, seed=7)
+            rec = PerfRecorder()
+            with use_recorder(rec):
+                engine = ScenarioEngine(scenario, SimMPI(4), layout="dhb")
+                engine.begin()
+                engine.advance(n_steps)
+            return rec.counters.get("dhb.view_builds", 0), rec.counters.get(
+                "dhb.view_hits", 0
+            )
+
+        builds_2, hits_2 = view_counters(2)
+        builds_6, hits_6 = view_counters(6)
+        assert builds_2 > 0
+        assert builds_6 == builds_2
+        assert hits_6 > hits_2

@@ -247,6 +247,33 @@ class TestPermutationAndPartitioning:
                 np.arange(3), np.arange(3), np.arange(3), 0
             )
 
+    def test_fractional_coordinates_are_rejected_not_truncated(self):
+        # int64 casting used to turn (1.7, 3.9), (2.2, 4.0) into (1, 3), (2, 4)
+        with pytest.raises(ValueError, match=r"\(1\.7, 3\.9, 1\.0\).*non-integral"):
+            UpdateBatch.from_global(
+                (10, 10), [1.7, 2.2], [3.9, 4.0], [1.0, 1.0], n_ranks=2
+            )
+        with pytest.raises(ValueError, match=r"\(2\.0, 4\.5, 1\.0\).*non-integral"):
+            partition_tuples_round_robin([1.0, 2.0], [3.0, 4.5], [1.0, 1.0], 2)
+        with pytest.raises(ValueError, match="non-integral"):
+            UpdateBatch((10, 10), {0: ([np.inf], [1], [1.0])})
+
+    def test_nan_values_are_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 4, nan\).*NaN value"):
+            UpdateBatch.from_global(
+                (10, 10), [1, 2], [3, 4], [1.0, np.nan], n_ranks=2
+            )
+        with pytest.raises(ValueError, match="NaN value"):
+            UpdateBatch((10, 10), {1: ([1], [1], [np.nan])})
+
+    def test_integral_float_coordinates_are_accepted(self):
+        batch = UpdateBatch.from_global(
+            (10, 10), [1.0, 2.0], [3.0, 4.0], [1.0, np.inf], n_ranks=2
+        )
+        coo = batch.to_global_coo()
+        assert coo.rows.tolist() == [1, 2] and coo.cols.tolist() == [3, 4]
+        assert coo.values.tolist() == [1.0, np.inf]
+
 
 # ----------------------------------------------------------------------
 # SparseAccumulator masked path
